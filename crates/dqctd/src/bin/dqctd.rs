@@ -2,12 +2,11 @@
 //! around [`dqctd::Server`], with SIGTERM/SIGINT wired to a graceful
 //! drain — stop accepting, finish every accepted job, exit 0.
 
-use dqctd::{Config, FsyncPolicy, Server};
+use dqctd::{serve_tcp, Config, FsyncPolicy, Server};
 use qfault::FaultPlan;
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,7 +42,8 @@ accepted job is finished and answered, then the process exits 0.";
 
 /// SIGTERM/SIGINT handling with no dependencies: the libc `signal`
 /// function installing a handler that only stores to a static atomic
-/// (async-signal-safe); the accept loop polls the flag.
+/// (async-signal-safe). [`serve_tcp`]'s watcher polls the flag and wakes
+/// the blocked accept with a self-connect.
 #[cfg(unix)]
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -221,34 +221,8 @@ fn run_tcp(server: &Arc<Server>, options: &Options) -> Result<(), String> {
         let rendered = format!("{}\n", local.port());
         std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot poll the listener: {e}"))?;
     eprintln!("dqctd: listening on {local}");
-    loop {
-        if sig::TERM.load(Ordering::SeqCst) || server.is_draining() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let server = Arc::clone(server);
-                std::thread::spawn(move || {
-                    let mut reader = match stream.try_clone() {
-                        Ok(reader) => reader,
-                        Err(_) => return,
-                    };
-                    server.serve_connection(&mut reader, Box::new(stream));
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(format!("accept failed: {e}")),
-        }
-    }
+    serve_tcp(listener, server, &sig::TERM).map_err(|e| format!("accept failed: {e}"))?;
     eprintln!(
         "dqctd: draining ({} accepted jobs in flight)",
         server.pending()

@@ -23,6 +23,8 @@
 //!   behind idempotent retries.
 //! - [`server`] — admission control, the worker pool, watchdog
 //!   supervision, chaos scoping, drain semantics.
+//! - [`tcp`] — the TCP transport: a blocking accept loop, woken by a
+//!   self-connect when the service stops.
 //!
 //! The wire format and operational policies are specified in DESIGN.md
 //! §14; durability and recovery in §15.
@@ -31,6 +33,7 @@ pub mod cache;
 pub mod journal;
 pub mod protocol;
 pub mod server;
+pub mod tcp;
 
 pub use cache::{cache_key, CachedTransform, TransformCache};
 pub use journal::{FsyncPolicy, Journal, Recovery};
@@ -39,3 +42,4 @@ pub use protocol::{
     FrameError, JobOutcome, JobSpec, RejectReason, Request, Response, MAX_FRAME_BYTES,
 };
 pub use server::{job_scope_key, Config, Server};
+pub use tcp::serve_tcp;

@@ -114,15 +114,30 @@ pub fn read_frame(r: &mut impl Read, max: u32) -> Result<Option<Vec<u8>>, FrameE
     }
 }
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) with a single `write_all`.
+///
+/// Prefix and payload leave in one buffer on purpose. Written separately
+/// on a socket running Nagle's algorithm, the payload waits until the
+/// peer acknowledges the prefix, and a peer that delays its ACKs stalls
+/// every frame by a send gap or its delayed-ACK timer (DESIGN.md §14.1).
 ///
 /// # Errors
 ///
 /// Propagates transport errors; the caller decides whether a failed write
-/// is fatal (it usually means the client disconnected).
+/// is fatal (it usually means the client disconnected). A payload whose
+/// length does not fit the `u32` prefix is refused with
+/// [`io::ErrorKind::InvalidInput`] before anything is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "frame payload exceeds the u32 length prefix",
+        )
+    })?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -523,6 +538,33 @@ mod tests {
             Some(Vec::new())
         );
         assert_eq!(read_frame(&mut r, MAX_FRAME_BYTES).expect("eof"), None);
+    }
+
+    /// A writer that keeps the bytes of every `write` call apart.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_leaves_in_one_write() {
+        let mut log = WriteLog::default();
+        write_frame(&mut log, b"hello").expect("write");
+        write_frame(&mut log, b"").expect("write empty");
+        assert_eq!(
+            log.0,
+            vec![b"\0\0\0\x05hello".to_vec(), vec![0u8; 4]],
+            "one write per frame, prefix and payload together"
+        );
     }
 
     #[test]

@@ -381,7 +381,11 @@ impl Server {
                         }
                     }
                     Err(detail) => {
-                        respond(&self.state, &sink, &Response::Error { id: None, detail });
+                        send(
+                            &self.state,
+                            &sink,
+                            &Response::Error { id: None, detail }.render(),
+                        );
                     }
                 },
                 // Clean close: the peer is done submitting.
@@ -390,13 +394,14 @@ impl Server {
                 // connection closes (the unread body makes resync
                 // impossible). Truncation and transport errors just close.
                 Err(FrameError::TooLarge { len, max }) => {
-                    respond(
+                    send(
                         &self.state,
                         &sink,
                         &Response::Error {
                             id: None,
                             detail: format!("frame of {len} bytes exceeds the {max}-byte limit"),
-                        },
+                        }
+                        .render(),
                     );
                     return;
                 }
@@ -409,14 +414,14 @@ impl Server {
     fn dispatch(&self, conn: u64, request: Request, sink: &Sink) -> bool {
         let state = &self.state;
         match request {
-            Request::Ping => respond(state, sink, &Response::Pong),
+            Request::Ping => send(state, sink, &Response::Pong.render()),
             Request::Metrics => {
                 let registry = state.observer.metrics().to_json();
-                respond(state, sink, &Response::Metrics(registry));
+                send(state, sink, &Response::Metrics(registry).render());
             }
             Request::Drain => {
                 self.drain();
-                respond(state, sink, &Response::Draining);
+                send(state, sink, &Response::Draining.render());
             }
             Request::Cancel(id) => {
                 let token = state
@@ -426,19 +431,20 @@ impl Server {
                     .and_then(|tokens| tokens.get(&(conn, id.clone())).cloned());
                 match token {
                     Some(token) => token.cancel(), // the job's own response reports "cancelled"
-                    None => respond(
+                    None => send(
                         state,
                         sink,
                         &Response::Error {
                             id: Some(id),
                             detail: "no such active job on this connection".to_string(),
-                        },
+                        }
+                        .render(),
                     ),
                 }
             }
             Request::Submit(spec) => {
                 if let Some(rejection) = self.admit(conn, *spec, sink) {
-                    respond(state, sink, &rejection);
+                    send(state, sink, &rejection.render());
                 }
             }
         }
@@ -460,11 +466,7 @@ impl Server {
             .and_then(|done| done.get(&spec.id).cloned());
         if let Some(response) = served {
             obs.counter_add("journal.dedup_served", 1);
-            if let Ok(mut writer) = sink.lock() {
-                if write_frame(&mut *writer, &response).is_err() {
-                    obs.counter_add("service.disconnects", 1);
-                }
-            }
+            send(state, sink, &response);
             return None;
         }
         let reject = |counter: &str, reason: RejectReason| {
@@ -780,16 +782,17 @@ fn build_roles(
     Ok(roles)
 }
 
-/// Writes a response frame to a connection, counting (never propagating)
-/// write failures: a mid-job disconnect must not take a worker down, and
-/// the accepted-work accounting stays truthful either way.
-fn respond(state: &State, sink: &Sink, response: &Response) {
-    let payload = response.render();
-    let Ok(mut writer) = sink.lock() else {
-        state.observer.counter_add("service.disconnects", 1);
-        return;
+/// Writes one response frame to a connection, counting (never
+/// propagating) write failures as `service.disconnects`: a mid-job
+/// disconnect must not take a worker down, and the accepted-work
+/// accounting stays truthful either way. Every response the server sends
+/// goes through here.
+fn send(state: &State, sink: &Sink, payload: &[u8]) {
+    let written = match sink.lock() {
+        Ok(mut writer) => write_frame(&mut *writer, payload).is_ok(),
+        Err(_) => false,
     };
-    if write_frame(&mut *writer, &payload).is_err() {
+    if !written {
         state.observer.counter_add("service.disconnects", 1);
     }
 }
@@ -917,14 +920,7 @@ fn finish_job(state: &Arc<State>, job: &ActiveJob, response: &Response) -> bool 
     let obs = &state.observer;
     let payload = response.render();
     if !job.recovered {
-        match job.sink.lock() {
-            Ok(mut writer) => {
-                if write_frame(&mut *writer, &payload).is_err() {
-                    obs.counter_add("service.disconnects", 1);
-                }
-            }
-            Err(_) => obs.counter_add("service.disconnects", 1),
-        }
+        send(state, &job.sink, &payload);
     }
     if matches!(response, Response::Result(_)) {
         if let Ok(mut done) = state.completions.lock() {

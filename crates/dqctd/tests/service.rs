@@ -1,18 +1,20 @@
 //! End-to-end service tests over the in-memory transport (the same
-//! `serve_connection` the TCP and stdio transports drive), plus one real
-//! TCP round trip: submission, caching, load shedding, cancellation,
-//! deadlines, drain, and the chaos drill.
+//! `serve_connection` the TCP and stdio transports drive), plus the real
+//! TCP accept loop: submission, caching, load shedding, cancellation,
+//! deadlines, drain, the chaos drill, and waking a blocked accept.
 
 use dqctd::{
-    field_counts, field_str, field_u64, job_scope_key, read_frame, render_submit, write_frame,
-    Config, FsyncPolicy, JobSpec, Journal, Server, MAX_FRAME_BYTES,
+    field_counts, field_str, field_u64, job_scope_key, read_frame, render_submit, serve_tcp,
+    write_frame, Config, FsyncPolicy, JobSpec, Journal, Server, MAX_FRAME_BYTES,
 };
 use qalgo::suites::toffoli_free_suite;
 use qcir::qasm::to_qasm;
 use qfault::FaultPlan;
 use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A response sink shared with the worker pool, snapshot-readable from
@@ -103,11 +105,13 @@ fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
 fn submit_runs_and_second_identical_job_hits_the_cache() {
     let server = Server::start(Config::default());
     let sink = SharedBuf::default();
-    let request = framed(&[
-        render_submit(&spec("j1", 64)),
-        render_submit(&spec("j2", 64)),
-    ]);
-    server.serve_connection(&mut request.as_slice(), Box::new(sink.clone()));
+    // j2 is submitted only once j1 has answered: submitted together, the
+    // two workers can take both at the same moment and both miss.
+    let first_request = framed(&[render_submit(&spec("j1", 64))]);
+    server.serve_connection(&mut first_request.as_slice(), Box::new(sink.clone()));
+    wait_for_frames(&sink, 1);
+    let second_request = framed(&[render_submit(&spec("j2", 64))]);
+    server.serve_connection(&mut second_request.as_slice(), Box::new(sink.clone()));
     let frames = wait_for_frames(&sink, 2);
     let first = response_for(&frames, "j1").expect("j1 answered");
     let second = response_for(&frames, "j2").expect("j2 answered");
@@ -553,34 +557,54 @@ fn watchdog_replaces_a_wedged_worker_and_fails_its_job_with_a_typed_reason() {
     );
 }
 
-#[test]
-fn tcp_transport_round_trips_ping_submit_and_metrics() {
-    use std::net::{TcpListener, TcpStream};
-
-    let server = Server::start(Config::default());
+/// Runs [`serve_tcp`] on a fresh loopback listener in a thread that
+/// reports on `returned` when the call comes back.
+fn spawn_tcp(
+    server: &Arc<Server>,
+    stop: &Arc<AtomicBool>,
+) -> (SocketAddr, mpsc::Receiver<io::Result<()>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let acceptor = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut reader = stream.try_clone().expect("clone stream");
-            server.serve_connection(&mut reader, Box::new(stream));
+    let (returned, done) = mpsc::channel();
+    let server = Arc::clone(server);
+    let stop = Arc::clone(stop);
+    std::thread::spawn(move || {
+        let _ = returned.send(serve_tcp(listener, &server, &stop));
+    });
+    (addr, done)
+}
+
+/// Reads `n` response frames from a client socket.
+fn read_frames(client: &mut TcpStream, n: usize) -> Vec<String> {
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    (0..n)
+        .map(|_| {
+            let payload = read_frame(client, MAX_FRAME_BYTES)
+                .expect("read response")
+                .expect("response present");
+            String::from_utf8(payload).expect("utf8")
         })
-    };
+        .collect()
+}
+
+#[test]
+fn tcp_transport_round_trips_ping_submit_and_metrics() {
+    let server = Server::start(Config::default());
+    let stop = Arc::new(AtomicBool::new(false));
+    let (addr, returned) = spawn_tcp(&server, &stop);
     let mut client = TcpStream::connect(addr).expect("connect");
     write_frame(&mut client, b"ping").expect("send ping");
     write_frame(&mut client, &render_submit(&spec("tcp-1", 16))).expect("send submit");
     write_frame(&mut client, b"metrics").expect("send metrics");
-    let mut seen = Vec::new();
-    for _ in 0..3 {
-        let payload = read_frame(&mut client, MAX_FRAME_BYTES)
-            .expect("read response")
-            .expect("response present");
-        seen.push(String::from_utf8(payload).expect("utf8"));
-    }
+    let seen = read_frames(&mut client, 3);
     drop(client);
-    acceptor.join().expect("acceptor thread");
+    stop.store(true, Ordering::SeqCst);
+    returned
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve_tcp returns once stopped")
+        .expect("accept loop");
     assert!(
         seen.iter().any(|f| f.contains("\"type\":\"pong\"")),
         "{seen:?}"
@@ -596,4 +620,80 @@ fn tcp_transport_round_trips_ping_submit_and_metrics() {
         "{seen:?}"
     );
     server.join();
+}
+
+/// One worker and a 5 ms delay on every shot: the three 20-shot jobs
+/// below take about 0.3 s, far longer than the loop takes to stop.
+fn slow_tcp_server() -> Arc<Server> {
+    let chaos = FaultPlan::parse("seed=3,delay=1.0,delay-ms=5").expect("spec");
+    Server::start(Config {
+        workers: 1,
+        chaos: Some(chaos),
+        ..Config::default()
+    })
+}
+
+const SLOW_JOBS: [&str; 3] = ["slow-1", "slow-2", "slow-3"];
+
+fn submit_slow_jobs(client: &mut TcpStream) {
+    for id in SLOW_JOBS {
+        let mut job = spec(id, 20);
+        job.deadline_ms = Some(60_000);
+        write_frame(client, &render_submit(&job)).expect("send submit");
+    }
+}
+
+fn assert_slow_jobs_completed(frames: &[String]) {
+    for id in SLOW_JOBS {
+        let frame = response_for(frames, id).expect("accepted job answered");
+        assert_eq!(field_str(frame, "type"), Some("result"), "{frame}");
+        assert_eq!(field_str(frame, "termination"), Some("completed"));
+    }
+}
+
+#[test]
+fn drain_verb_wakes_a_blocked_accept_loop() {
+    let server = slow_tcp_server();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (addr, returned) = spawn_tcp(&server, &stop);
+    let mut client = TcpStream::connect(addr).expect("connect");
+    submit_slow_jobs(&mut client);
+    write_frame(&mut client, b"drain").expect("send drain");
+    returned
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve_tcp returns within 2 s of a drain")
+        .expect("accept loop");
+    server.join();
+    assert_eq!(server.pending(), 0);
+    let frames = read_frames(&mut client, SLOW_JOBS.len() + 1);
+    assert!(frames.iter().any(|f| f.contains("\"type\":\"draining\"")));
+    assert_slow_jobs_completed(&frames);
+}
+
+#[test]
+fn stop_flag_wakes_a_blocked_accept_loop() {
+    let server = slow_tcp_server();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (addr, returned) = spawn_tcp(&server, &stop);
+    let mut client = TcpStream::connect(addr).expect("connect");
+    submit_slow_jobs(&mut client);
+    // The pong comes after all three submissions were admitted.
+    write_frame(&mut client, b"ping").expect("send ping");
+    let mut frames = Vec::new();
+    while !frames
+        .iter()
+        .any(|f: &String| f.contains("\"type\":\"pong\""))
+    {
+        frames.extend(read_frames(&mut client, 1));
+    }
+    stop.store(true, Ordering::SeqCst);
+    returned
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve_tcp returns within 2 s of the stop flag")
+        .expect("accept loop");
+    server.join();
+    assert_eq!(server.pending(), 0);
+    let remaining = SLOW_JOBS.len() + 1 - frames.len();
+    frames.extend(read_frames(&mut client, remaining));
+    assert_slow_jobs_completed(&frames);
 }

@@ -27,6 +27,24 @@ run() {
     "$@"
 }
 
+# Waits up to 10 s for a SIGTERMed daemon to exit and returns its exit
+# status. A daemon still alive after that is a failed drain: print LOG,
+# kill it, and fail the whole check instead of waiting forever.
+# Usage: wait_after_term PID LOG GATE
+wait_after_term() {
+    for _ in $(seq 1 100); do
+        kill -0 "$1" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$1" 2>/dev/null; then
+        echo "$3 FAILED: dqctd did not exit after SIGTERM" >&2
+        cat "$2" >&2 || true
+        kill -9 "$1" 2>/dev/null || true
+        exit 1
+    fi
+    wait "$1"
+}
+
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 # Library code in the simulation/transform core must not unwrap: failures
@@ -294,7 +312,7 @@ if [ "$FAST" -eq 0 ]; then
     run cargo run -q --release --offline -p bench --bin service_load -- \
         --live "127.0.0.1:$SERVICE_PORT" --jobs 32 --expect-shed
     kill -TERM "$SERVICE_PID"
-    if ! wait "$SERVICE_PID"; then
+    if ! wait_after_term "$SERVICE_PID" "$SERVICE_DIR/log" "live service gate"; then
         echo "live service gate FAILED: dqctd did not drain cleanly on SIGTERM" >&2
         cat "$SERVICE_DIR/log" >&2 || true
         exit 1
@@ -391,7 +409,7 @@ if [ "$FAST" -eq 0 ]; then
 "
     done
     kill -TERM "$CRASH_PID"
-    wait "$CRASH_PID" || true
+    wait_after_term "$CRASH_PID" "$CRASH_DIR/log" "crash-recovery gate" || true
     rm -f "$CRASH_DIR/journal"
     boot_crash_dqctd
     REFERENCE_COUNTS=""
@@ -401,7 +419,7 @@ if [ "$FAST" -eq 0 ]; then
 "
     done
     kill -TERM "$CRASH_PID"
-    wait "$CRASH_PID" || true
+    wait_after_term "$CRASH_PID" "$CRASH_DIR/log" "crash-recovery gate" || true
     if [ "$REPLAYED_COUNTS" != "$REFERENCE_COUNTS" ]; then
         echo "crash-recovery gate FAILED: replayed counts diverge from an uninterrupted run" >&2
         diff <(echo "$REPLAYED_COUNTS") <(echo "$REFERENCE_COUNTS") >&2 || true
