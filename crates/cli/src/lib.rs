@@ -598,9 +598,11 @@ pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
         if let Some(engine) = opts.engine {
             exec = exec.engine(engine);
             // Report the engine actually used: the prefix tree additionally
-            // requires an unbounded resilient run, so budget flags force the
-            // per-shot path even when the circuit itself is tree-eligible.
-            let resolved = if opts.deadline_ms.is_some() || opts.max_failed.is_some() {
+            // requires a resilient run without a failed-shot budget, so
+            // --max-failed forces the per-shot path even when the circuit
+            // itself is tree-eligible. A deadline is polled during the walk
+            // and keeps the run on the tree.
+            let resolved = if opts.max_failed.is_some() {
                 qsim::Engine::Shots
             } else {
                 exec.resolve_engine(hardened)
@@ -613,6 +615,7 @@ pub fn run(qasm_text: &str, opts: &CliOptions) -> Result<String, String> {
             "run: completed={} failed={} discarded={} termination={}",
             report.completed, report.failed, report.discarded, report.termination
         ));
+        run_lines.push(format!("counts: {counts}"));
         let resolved = mitigated
             .as_ref()
             .map(|m| m.resolve_observed(&counts, &obs));
@@ -1036,7 +1039,30 @@ h q[1];
         assert!(run_with("--engine auto").contains("// engine: prefix"));
         assert!(run_with("--engine auto --inject meas-flip=0.1").contains("// engine: shots"));
         assert!(run_with("--engine auto --max-failed 3").contains("// engine: shots"));
+        assert!(run_with("--engine auto --deadline-ms 60000").contains("// engine: prefix"));
         assert!(!run_with("").contains("// engine:"));
+    }
+
+    #[test]
+    fn text_metrics_print_the_sampled_counts_beside_the_run_line() {
+        let run_with = |flags: &str| {
+            let opts = parse_args(&args(&format!(
+                "--answer 2 {flags} --shots 64 --seed 5 --engine prefix"
+            )))
+            .unwrap();
+            run(BV_QASM, &opts).unwrap()
+        };
+        let text = run_with("--metrics=text");
+        // This BV circuit is deterministic: every shot reads out its hidden
+        // string 11.
+        assert!(text.contains("// run: completed=64"), "{text}");
+        assert!(text.contains("\n// counts: {11: 64}\n"), "{text}");
+        let path = std::env::temp_dir().join(format!("dqct_counts_{}.json", std::process::id()));
+        let file_run = run_with(&format!("--metrics-out {}", path.display()));
+        let doc = std::fs::read_to_string(&path).expect("metrics file written");
+        let _ = std::fs::remove_file(&path);
+        assert!(!file_run.contains("// counts:"), "{file_run}");
+        assert!(!doc.contains("counts:"), "{doc}");
     }
 
     #[test]

@@ -1233,10 +1233,7 @@ fn run_job(state: &Arc<State>, job: &Job, queue_wait: Duration, beat: &Arc<Atomi
         completed: report.completed,
         failed: report.failed,
         discarded: report.discarded,
-        counts: counts
-            .iter()
-            .map(|(bits, n)| (bits.to_string(), n))
-            .collect(),
+        counts: counts.into_iter().collect(),
         cache_hit,
         queue_ms,
         run_ms: started.elapsed().as_secs_f64() * 1e3,

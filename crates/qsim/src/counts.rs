@@ -153,6 +153,17 @@ impl FromIterator<(String, u64)> for Counts {
     }
 }
 
+/// Consumes the tally into `(bitstring, count)` pairs in lexicographic
+/// order — the order of [`Counts::iter`] — without copying the keys.
+impl IntoIterator for Counts {
+    type Item = (String, u64);
+    type IntoIter = std::collections::btree_map::IntoIter<String, u64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.map.into_iter()
+    }
+}
+
 impl fmt::Display for Counts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
@@ -405,6 +416,19 @@ mod tests {
         c.record_n("10", 3);
         c.record_n("01", 3);
         assert_eq!(c.most_frequent().unwrap(), "01");
+    }
+
+    #[test]
+    fn into_iter_yields_owned_pairs_in_iter_order() {
+        let c: Counts = [("10", 3), ("00", 1), ("01", 2)]
+            .into_iter()
+            .map(|(k, n)| (k.to_string(), n))
+            .collect();
+        let borrowed: Vec<(String, u64)> = c.iter().map(|(k, n)| (k.to_string(), n)).collect();
+        let owned: Vec<(String, u64)> = c.clone().into_iter().collect();
+        assert_eq!(owned, borrowed);
+        assert_eq!(owned[0], ("00".to_string(), 1));
+        assert_eq!(owned.into_iter().collect::<Counts>(), c);
     }
 
     #[test]

@@ -307,6 +307,49 @@ struct ChunkOutcome {
     renormalized: u64,
 }
 
+/// A worker-local shot accumulator filled by [`Executor::run_partitioned`].
+trait ShotSink: Send {
+    /// `true` when the accumulator ignores shot order (a multiset), so the
+    /// prefix engine may record a chunk's tree walks once per leaf from the
+    /// hit counts instead of once per shot.
+    const BY_LEAF: bool;
+    /// An empty accumulator for a chunk of `shots` shots.
+    fn with_shots(shots: usize) -> Self;
+    /// Records `n` shots that all read out `classical`.
+    fn add(&mut self, classical: &[bool], n: u64);
+}
+
+impl ShotSink for Counts {
+    const BY_LEAF: bool = true;
+    fn with_shots(_: usize) -> Self {
+        Counts::new()
+    }
+    fn add(&mut self, classical: &[bool], n: u64) {
+        self.record_n(bitstring(classical), n);
+    }
+}
+
+/// Memory rows must come out in shot order, so they record per shot.
+impl ShotSink for Vec<String> {
+    const BY_LEAF: bool = false;
+    fn with_shots(shots: usize) -> Self {
+        Vec::with_capacity(shots)
+    }
+    fn add(&mut self, classical: &[bool], n: u64) {
+        self.extend(std::iter::repeat_n(bitstring(classical), n as usize));
+    }
+}
+
+/// Records each leaf of `tree` once with its hit count. Leaves no shot
+/// reached are skipped: a zero-count key would change `Counts` equality.
+fn add_leaf_hits(tree: &PrefixTree, hits: &[u64], sink: &mut impl ShotSink) {
+    for (leaf, &n) in (0u32..).zip(hits) {
+        if n > 0 {
+            sink.add(tree.leaf_classical(leaf), n);
+        }
+    }
+}
+
 /// Applies the drift guard (if any) to the state after one instruction.
 fn check_drift(
     guard: Option<&DriftGuard>,
@@ -770,13 +813,8 @@ impl Executor {
     /// worker-local [`Counts`] buffers, merged in shot order; the result is
     /// bit-identical for every thread count at a fixed seed.
     pub fn run(&self, circuit: &Circuit) -> Counts {
-        let parts = self.run_partitioned(
-            circuit,
-            |_| Counts::new(),
-            |counts: &mut Counts, classical| counts.record(bitstring(&classical)),
-        );
         let mut counts = Counts::new();
-        for part in parts {
+        for part in self.run_partitioned::<Counts>(circuit) {
             counts.merge(part);
         }
         counts
@@ -790,13 +828,8 @@ impl Executor {
     /// are concatenated in range order — entry `i` is always shot `i`,
     /// whatever the thread count.
     pub fn run_memory(&self, circuit: &Circuit) -> Vec<String> {
-        let parts = self.run_partitioned(
-            circuit,
-            Vec::with_capacity,
-            |memory: &mut Vec<String>, classical| memory.push(bitstring(&classical)),
-        );
         let mut memory = Vec::with_capacity(self.shots as usize);
-        for part in parts {
+        for part in self.run_partitioned::<Vec<String>>(circuit) {
             memory.extend(part);
         }
         memory
@@ -897,36 +930,9 @@ impl Executor {
             t.begin("executor.run_resilient");
         }
 
-        let results: Vec<(ChunkOutcome, Option<RunTally>, Vec<TraceEvent>)> = if workers <= 1 {
-            let result = self.run_chunk_resilient(
-                circuit,
-                base,
-                0..self.shots,
-                mid.as_deref(),
-                guard,
-                &budget,
-            );
-            vec![result]
-        } else {
-            let chunk_len = self.shots.div_ceil(workers as u64);
-            let mid = mid.as_deref();
-            let budget = &budget;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers as u64)
-                    .map(|w| {
-                        let lo = w * chunk_len;
-                        let hi = (lo + chunk_len).min(self.shots);
-                        scope.spawn(move || {
-                            self.run_chunk_resilient(circuit, base, lo..hi, mid, guard, budget)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("resilient chunk driver panicked"))
-                    .collect()
-            })
-        };
+        let results = self.split_shots(workers, |shots| {
+            self.run_chunk_resilient(circuit, base, shots, mid.as_deref(), guard, &budget)
+        });
 
         let mut counts = Counts::new();
         let mut report = RunReport {
@@ -1009,41 +1015,9 @@ impl Executor {
             None
         };
 
-        let results: Vec<(ChunkOutcome, Option<RunTally>, u64)> = if workers <= 1 {
-            vec![self.run_chunk_resilient_prefix(
-                tree,
-                circuit,
-                base,
-                0..self.shots,
-                mid.as_deref(),
-                budget,
-            )]
-        } else {
-            let chunk = self.shots.div_ceil(workers as u64);
-            let mid = mid.as_deref();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers as u64)
-                    .map(|w| {
-                        let lo = w * chunk;
-                        let hi = (lo + chunk).min(self.shots);
-                        scope.spawn(move || {
-                            self.run_chunk_resilient_prefix(
-                                tree,
-                                circuit,
-                                base,
-                                lo..hi,
-                                mid,
-                                budget,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("prefix worker panicked"))
-                    .collect()
-            })
-        };
+        let results = self.split_shots(workers, |shots| {
+            self.run_chunk_resilient_prefix(tree, circuit, base, shots, mid.as_deref(), budget)
+        });
 
         let mut counts = Counts::new();
         let mut report = RunReport {
@@ -1078,6 +1052,9 @@ impl Executor {
     }
 
     /// One worker's contiguous shot range of a prefix-engine resilient run.
+    /// Tree walks only bump their leaf's hit count; the counts are recorded
+    /// once per leaf when the chunk ends (also on an early stop), so no
+    /// walked shot builds a key. Replays record per shot.
     fn run_chunk_resilient_prefix(
         &self,
         tree: &PrefixTree,
@@ -1112,7 +1089,6 @@ impl Executor {
                 Walk::Leaf(leaf) => {
                     hits[leaf as usize] += 1;
                     out.completed += 1;
-                    out.counts.record(bitstring(tree.leaf_classical(leaf)));
                 }
                 Walk::Replay => {
                     replayed += 1;
@@ -1137,6 +1113,7 @@ impl Executor {
                 }
             }
         }
+        add_leaf_hits(tree, &hits, &mut out.counts);
         if let Some(t) = &mut tally {
             tree.accumulate_tally(&hits, t);
         }
@@ -1268,23 +1245,42 @@ impl Executor {
         })
     }
 
+    /// Runs `f` on each of `workers` contiguous chunks of `0..self.shots`
+    /// (`shots.div_ceil(workers)` shots each, the last one shorter) and
+    /// returns the results in chunk order, which is shot order. One worker
+    /// runs inline; more run on scoped threads, one per chunk.
+    fn split_shots<T: Send>(&self, workers: usize, f: impl Fn(Range<u64>) -> T + Sync) -> Vec<T> {
+        if workers <= 1 {
+            return vec![f(0..self.shots)];
+        }
+        let chunk = self.shots.div_ceil(workers as u64);
+        let f = &f;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers as u64)
+                .map(|w| {
+                    let lo = w * chunk;
+                    let hi = (lo + chunk).min(self.shots);
+                    scope.spawn(move || f(lo..hi))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shot worker panicked"))
+                .collect()
+        })
+    }
+
     /// Shared shot driver behind [`Executor::run`] and
     /// [`Executor::run_memory`]: splits the shot range into one contiguous
-    /// chunk per worker, executes each chunk with a worker-local accumulator
-    /// (built by `make`, filled by `record`), and returns the accumulators
-    /// in shot order. With the observer enabled, each worker also keeps a
-    /// local [`RunTally`]; the tallies are merged deterministically in shot
-    /// order and flushed into the metrics registry exactly once, under the
-    /// timed `executor.run` span.
+    /// chunk per worker, executes each chunk into a worker-local
+    /// [`ShotSink`], and returns the sinks in shot order. With the observer
+    /// enabled, each worker also keeps a local [`RunTally`]; the tallies are
+    /// merged deterministically in shot order and flushed into the metrics
+    /// registry exactly once, under the timed `executor.run` span.
     ///
     /// Shot `i` always executes on `stream_seed(base, i)`, so the partition
     /// geometry (and hence the thread count) is invisible in the results.
-    fn run_partitioned<A, M, F>(&self, circuit: &Circuit, make: M, record: F) -> Vec<A>
-    where
-        A: Send,
-        M: Fn(usize) -> A + Sync,
-        F: Fn(&mut A, Vec<bool>) + Sync,
-    {
+    fn run_partitioned<A: ShotSink>(&self, circuit: &Circuit) -> Vec<A> {
         let base = self.base_seed();
         let workers = (self.effective_threads() as u64).min(self.shots.max(1)) as usize;
         let observed = self.observer.is_enabled();
@@ -1307,102 +1303,35 @@ impl Executor {
             t.begin("executor.run");
         }
 
+        // The prefix engine walks the pre-built branch tree instead of
+        // re-evolving the state per shot. The tracer is disabled on that
+        // path (eligibility), so its chunk traces are empty.
         let tree = self.prefix_tree(circuit);
-        let mut replayed = 0u64;
-        let results: Vec<(A, Option<RunTally>, Vec<TraceEvent>)> = if let Some(tree) = &tree {
-            // Prefix engine: same worker partitioning, but each shot walks
-            // the pre-built branch tree instead of re-evolving the state.
-            // The tracer is disabled on this path (eligibility), so chunk
-            // traces are empty.
-            let raw: Vec<(A, Option<RunTally>, u64)> = if workers <= 1 {
-                let mut acc = make(self.shots as usize);
-                let (tally, bails) = self.run_chunk_prefix(
-                    tree,
-                    circuit,
-                    base,
-                    0..self.shots,
-                    mid.as_deref(),
-                    &mut acc,
-                    &record,
-                );
-                vec![(acc, tally, bails)]
-            } else {
-                let chunk = self.shots.div_ceil(workers as u64);
-                let mid = mid.as_deref();
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers as u64)
-                        .map(|w| {
-                            let lo = w * chunk;
-                            let hi = (lo + chunk).min(self.shots);
-                            let (make, record) = (&make, &record);
-                            scope.spawn(move || {
-                                let mut acc = make((hi - lo) as usize);
-                                let (tally, bails) = self.run_chunk_prefix(
-                                    tree,
-                                    circuit,
-                                    base,
-                                    lo..hi,
-                                    mid,
-                                    &mut acc,
-                                    record,
-                                );
-                                (acc, tally, bails)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("prefix worker panicked"))
-                        .collect()
-                })
-            };
-            raw.into_iter()
-                .map(|(acc, tally, bails)| {
-                    replayed += bails;
-                    (acc, tally, Vec::new())
-                })
-                .collect()
-        } else if workers <= 1 {
-            let mut acc = make(self.shots as usize);
-            let (tally, trace) = self.run_chunk_with(
-                circuit,
-                base,
-                0..self.shots,
-                mid.as_deref(),
-                &mut acc,
-                &record,
-            );
-            vec![(acc, tally, trace)]
-        } else {
-            let chunk = self.shots.div_ceil(workers as u64);
+        let results = self.split_shots(workers, |shots| {
+            let mut acc = A::with_shots(shots.end.saturating_sub(shots.start) as usize);
             let mid = mid.as_deref();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers as u64)
-                    .map(|w| {
-                        let lo = w * chunk;
-                        let hi = (lo + chunk).min(self.shots);
-                        let (make, record) = (&make, &record);
-                        scope.spawn(move || {
-                            let mut acc = make((hi - lo) as usize);
-                            let (tally, trace) =
-                                self.run_chunk_with(circuit, base, lo..hi, mid, &mut acc, record);
-                            (acc, tally, trace)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shot worker panicked"))
-                    .collect()
-            })
-        };
+            let (tally, trace, bails) = match &tree {
+                Some(tree) => {
+                    let (tally, bails) =
+                        self.run_chunk_prefix(tree, circuit, base, shots, mid, &mut acc);
+                    (tally, Vec::new(), bails)
+                }
+                None => {
+                    let (tally, trace) = self.run_chunk_with(circuit, base, shots, mid, &mut acc);
+                    (tally, trace, 0)
+                }
+            };
+            (acc, tally, trace, bails)
+        });
         // Chunks cover contiguous shot ranges in worker order, so absorbing
         // and submitting in iteration order is absorbing in shot order —
         // the deterministic-merge contract for counters and traces alike.
         let mut parts = Vec::with_capacity(results.len());
         let mut merged = RunTally::default();
-        for (acc, tally, trace) in results {
+        let mut replayed = 0u64;
+        for (acc, tally, trace, bails) in results {
             parts.push(acc);
+            replayed += bails;
             if let Some(tally) = tally {
                 merged.absorb(tally);
             }
@@ -1434,10 +1363,11 @@ impl Executor {
     /// Executes the contiguous shot range `shots` on the prefix engine:
     /// each shot walks `tree` on its own counter-derived RNG stream, in
     /// shot order, so memory rows and merge order match the per-shot path
-    /// exactly. Returns the chunk tally (when observed) and the number of
-    /// shots that bailed to a per-shot replay.
-    #[allow(clippy::too_many_arguments)]
-    fn run_chunk_prefix<A>(
+    /// exactly. A [`ShotSink::BY_LEAF`] sink gets the tree walks once per
+    /// leaf at the end of the chunk instead of once per shot. Returns the
+    /// chunk tally (when observed) and the number of shots that bailed to a
+    /// per-shot replay.
+    fn run_chunk_prefix<A: ShotSink>(
         &self,
         tree: &PrefixTree,
         circuit: &Circuit,
@@ -1445,7 +1375,6 @@ impl Executor {
         shots: Range<u64>,
         mid: Option<&[bool]>,
         acc: &mut A,
-        record: &(impl Fn(&mut A, Vec<bool>) + Sync),
     ) -> (Option<RunTally>, u64) {
         let mut hits = vec![0u64; tree.num_leaves()];
         let mut tally = mid.map(|_| RunTally::default());
@@ -1455,7 +1384,9 @@ impl Executor {
             match tree.walk(&mut rng) {
                 Walk::Leaf(leaf) => {
                     hits[leaf as usize] += 1;
-                    record(acc, tree.leaf_classical(leaf).to_vec());
+                    if !A::BY_LEAF {
+                        acc.add(tree.leaf_classical(leaf), 1);
+                    }
                 }
                 Walk::Replay => {
                     // A pruned branch: rerun just this shot per-shot, on a
@@ -1472,9 +1403,12 @@ impl Executor {
                     };
                     let (classical, _) =
                         self.run_shot_with_state_traced(circuit, i, &mut rng, &mut ctx, &mut None);
-                    record(acc, classical);
+                    acc.add(&classical, 1);
                 }
             }
+        }
+        if A::BY_LEAF {
+            add_leaf_hits(tree, &hits, acc);
         }
         if let Some(t) = &mut tally {
             tree.accumulate_tally(&hits, t);
@@ -1501,19 +1435,18 @@ impl Executor {
     }
 
     /// Executes the contiguous shot range `shots` sequentially, seeding shot
-    /// `i` from `stream_seed(base, i)` and feeding each outcome to `record`.
+    /// `i` from `stream_seed(base, i)` and adding each outcome to `acc`.
     /// Returns this chunk's tally when `mid` is provided (the observed
     /// path) and this chunk's trace events when the tracer is enabled;
     /// `None`/empty keeps the un-instrumented hot path tally- and
     /// trace-free.
-    fn run_chunk_with<A>(
+    fn run_chunk_with(
         &self,
         circuit: &Circuit,
         base: u64,
         shots: Range<u64>,
         mid: Option<&[bool]>,
-        acc: &mut A,
-        record: &(impl Fn(&mut A, Vec<bool>) + Sync),
+        acc: &mut impl ShotSink,
     ) -> (Option<RunTally>, Vec<TraceEvent>) {
         let mut events = Vec::new();
         match mid {
@@ -1535,7 +1468,7 @@ impl Executor {
                         t.end();
                         events.extend(t.into_events());
                     }
-                    record(acc, classical);
+                    acc.add(&classical, 1);
                 }
                 (Some(tally), events)
             }
@@ -1552,7 +1485,7 @@ impl Executor {
                         t.end();
                         events.extend(t.into_events());
                     }
-                    record(acc, classical);
+                    acc.add(&classical, 1);
                 }
                 (None, events)
             }
@@ -2219,6 +2152,66 @@ mod tests {
         assert_eq!(shots_counts, prefix_counts);
         assert_eq!(shots_report, prefix_report);
         assert_eq!(prefix_report.termination, Termination::Completed);
+    }
+
+    #[test]
+    fn prefix_counts_are_recorded_by_leaf_without_empty_keys() {
+        // Eight leaves, four of them behind a ~1e-4 branch: at 64 shots
+        // some leaves are never hit and must not appear as zero-count keys.
+        let mut circ = Circuit::new(3, 4);
+        circ.h(q(0))
+            .measure(q(0), c(0))
+            .x_if(q(1), c(0))
+            .reset(q(0))
+            .h(q(0))
+            .measure(q(0), c(1))
+            .measure(q(1), c(2))
+            .ry(0.02, q(2))
+            .measure(q(2), c(3));
+        let tree = PrefixTree::build(&circ, &NoiseModel::ideal()).expect("tree-eligible");
+        assert_eq!(tree.num_leaves(), 8);
+        let leaves: std::collections::BTreeSet<String> = (0..tree.num_leaves() as u32)
+            .map(|i| bitstring(tree.leaf_classical(i)))
+            .collect();
+        for threads in [1, 2, 8] {
+            let exec = |engine: Engine| {
+                Executor::new()
+                    .shots(64)
+                    .seed(5)
+                    .threads(threads)
+                    .engine(engine)
+            };
+            let (counts, report) = exec(Engine::Prefix).run_resilient(&circ);
+            assert!(counts.len() < tree.num_leaves(), "threads = {threads}");
+            for (key, n) in counts.iter() {
+                assert!(leaves.contains(key), "{key} is not a leaf");
+                assert!(n > 0, "{key} recorded with a zero count");
+            }
+            assert_eq!(counts.total(), report.completed);
+            assert_eq!(
+                (counts, report),
+                exec(Engine::Shots).run_resilient(&circ),
+                "threads = {threads}"
+            );
+            assert_eq!(
+                exec(Engine::Prefix).run(&circ),
+                exec(Engine::Shots).run(&circ)
+            );
+        }
+    }
+
+    #[test]
+    fn memory_survives_more_workers_than_full_chunks() {
+        // 5 shots on 4 workers: chunks of 2 leave the last worker an empty
+        // range that starts past the end.
+        let circ = dynamic_test_circuit();
+        for engine in [Engine::Prefix, Engine::Shots] {
+            let exec = Executor::new().shots(5).seed(3).engine(engine);
+            assert_eq!(
+                exec.clone().threads(4).run_memory(&circ),
+                exec.threads(1).run_memory(&circ)
+            );
+        }
     }
 
     #[test]

@@ -89,22 +89,36 @@ fi
 echo "    counters identical: $c1"
 
 # Prefix-engine gates: the branch-tree shot engine must (a) be bit-identical
-# to the per-shot executor on every shared counter at the same seed, and
-# (b) stay thread-count invariant itself — the tree is walked with the same
-# counter-derived per-shot RNG streams the per-shot loop uses, so both
-# properties are exact equalities, not statistical ones.
+# to the per-shot executor on every shared counter and on the sampled counts
+# at the same seed, and (b) stay thread-count invariant itself — the tree is
+# walked with the same counter-derived per-shot RNG streams the per-shot
+# loop uses, so both properties are exact equalities, not statistical ones.
+# The counts come from the `// counts:` line of --metrics=text: the prefix
+# engine records them per leaf rather than per shot, which the counters
+# alone would not check.
 echo "==> prefix-engine parity gate: --engine prefix vs --engine shots"
+ENGINE_DIR="$(mktemp -d)"
 engine_counters() {
+    local doc="$ENGINE_DIR/metrics-$1-$2.json"
     cargo run -q --offline -p dqct-cli --bin dqct -- \
-        --answer 2 --metrics-out - --shots 256 --seed 11 --threads "$2" \
-        --engine "$1" \
-        <<<"$GATE_QASM" | grep -o '"counters":{[^}]*}' |
+        --answer 2 --metrics=text --metrics-out "$doc" --shots 256 --seed 11 \
+        --threads "$2" --engine "$1" \
+        <<<"$GATE_QASM" >"$ENGINE_DIR/stdout-$1-$2"
+    grep -o '"counters":{[^}]*}' "$doc" |
         sed -E 's/"prefix\.[^"]*":[0-9]+,?//g; s/,}/}/'
+    grep '^// counts: ' "$ENGINE_DIR/stdout-$1-$2"
 }
 ps1="$(engine_counters prefix 1)"
 ss1="$(engine_counters shots 1)"
+case "$ps1" in
+*"// counts: {"*) ;;
+*)
+    echo "prefix-engine parity gate FAILED: no '// counts:' line in the output" >&2
+    exit 1
+    ;;
+esac
 if [ "$ps1" != "$ss1" ]; then
-    echo "prefix-engine parity gate FAILED: engines disagree on shared counters" >&2
+    echo "prefix-engine parity gate FAILED: engines disagree on shared counters or counts" >&2
     diff <(echo "$ps1") <(echo "$ss1") >&2 || true
     exit 1
 fi
@@ -112,11 +126,12 @@ echo "    engines agree: $ps1"
 echo "==> prefix-engine determinism gate: --threads 1 vs --threads 8"
 ps8="$(engine_counters prefix 8)"
 if [ "$ps1" != "$ps8" ]; then
-    echo "prefix-engine determinism gate FAILED: counters differ between thread counts" >&2
+    echo "prefix-engine determinism gate FAILED: counters or counts differ between thread counts" >&2
     diff <(echo "$ps1") <(echo "$ps8") >&2 || true
     exit 1
 fi
-echo "    counters identical across thread counts"
+rm -rf "$ENGINE_DIR"
+echo "    counters and counts identical across thread counts"
 
 # Mitigation determinism gate: the mitigated + noisy resilient path must
 # stay bit-identical across worker counts too — vote resolution, scratch

@@ -1,8 +1,9 @@
 //! Differential suite for the prefix-sharing branch-tree shot engine: over
 //! the paper's benchmarks and every reuse width, the prefix engine must
 //! reproduce the per-shot executor bit-for-bit — same counts, same memory
-//! rows, same executor counters — at the same seed and any thread count,
-//! with and without tree-eligible (readout/reset) noise.
+//! rows, same executor counters, same resilient run reports — at the same
+//! seed and any thread count, with and without tree-eligible
+//! (readout/reset) noise.
 
 use dqc::{plan_with_scheme, CostModel, DynamicScheme, QubitRoles, ReuseMode, TransformOptions};
 use qalgo::suites::{toffoli_free_suite, toffoli_suite};
@@ -74,6 +75,13 @@ fn assert_engines_agree(label: &str, circ: &Circuit, noise: &NoiseModel) {
             shots.run_memory(circ),
             prefix.run_memory(circ),
             "{label}: memory rows diverge at {threads} thread(s)"
+        );
+        // `run_resilient` is the entry point behind the CLI and the daemon,
+        // and records prefix counts by its own chunk driver.
+        assert_eq!(
+            shots.run_resilient(circ),
+            prefix.run_resilient(circ),
+            "{label}: resilient counts or run report diverge at {threads} thread(s)"
         );
     }
 }
